@@ -421,18 +421,22 @@ func (s *System) Exec(ctx context.Context, col *bat.Strings, pattern string, opt
 			res, err = run()
 		}
 	})
+	f := queryFacts{
+		pattern:   pattern,
+		placement: placement,
+		rows:      col.Count(),
+		budget:    hal.BudgetFrom(ctx),
+		retries:   retries,
+		backoff:   backoff,
+		err:       err,
+	}
+	f.session, f.query = obs.QueryInfoFrom(ctx)
 	if err != nil {
-		s.observeQuery(ctx, col, pattern, placement, nil, err, retries, backoff)
+		s.finishQuery(rec, f)
 		return nil, err
 	}
 	if backoff > 0 {
 		res.Breakdown.Add(PhaseRetry, backoff)
-	}
-	if rec != nil {
-		rec.Retries = retries
-		rec.RetryBackoffNS = int64(backoff / sim.Nanosecond)
-		rec.ConfigCached = res.ConfigCached
-		rec.SharedScan = res.Shared
 	}
 	root.End()
 	root.AddSim(res.Total())
@@ -440,13 +444,11 @@ func (s *System) Exec(ctx context.Context, col *bat.Strings, pattern string, opt
 	res.Trace = root
 	s.Tel.Counter("core.matches").Add(int64(res.MatchCount))
 	s.Tel.Counter("core.actual_ns").Add(int64(res.Total() / sim.Nanosecond))
-	finishRecord(rec, res)
-	res.Topdown = s.attributeQuery(placement, res)
-	if rec != nil {
-		rec.Topdown = res.Topdown
-	}
+	f.bd, f.hw, f.matches, f.hybrid = res.Breakdown, res.HW, res.MatchCount, res.Hybrid
+	f.degraded, f.degradedCause = res.Degraded, res.DegradedCause
+	f.configCached, f.shared = res.ConfigCached, res.Shared
+	res.Topdown = s.finishQuery(rec, f)
 	res.Decision = rec
-	s.observeQuery(ctx, col, pattern, placement, res, nil, retries, backoff)
 	return res, nil
 }
 

@@ -5,17 +5,14 @@ import (
 
 	"doppiodb/internal/bat"
 	"doppiodb/internal/explain"
-	"doppiodb/internal/obs"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/sim"
-	"doppiodb/internal/topdown"
 )
 
 // This file bridges the §9 cost model to the explain layer: ExplainCost
 // turns one EstimateCost call into a full decision record — every candidate
-// plan with its itemized predicted breakdown and the chosen plan's reason —
-// and finishRecord fills the actual figures in from the runtime's per-job
-// Completion accounting after execution.
+// plan with its itemized predicted breakdown and the chosen plan's reason.
+// The finish step (finish.go) fills the actual figures in after execution.
 
 // ns converts a simulated duration to the integer nanoseconds the explain
 // records carry.
@@ -23,10 +20,9 @@ func ns(t sim.Time) int64 { return int64(t / sim.Nanosecond) }
 
 // ExplainCost runs the cost model for a predicate and returns the full
 // decision record: candidate plans (fpga, hybrid, software), itemized
-// predicted costs, and the chosen placement with its reason. It subsumes
-// AdviseOffload — the advisor counters live here now — and binds the record
-// to the system's calibration auditor so Finish feeds the rolling error
-// statistics.
+// predicted costs, and the chosen placement with its reason. It counts the
+// advisor's decisions, and binds the record to the system's calibration
+// auditor so Finish feeds the rolling error statistics.
 func (s *System) ExplainCost(pattern string, rows, avgLen int) (*explain.Record, error) {
 	s.Tel.Counter("core.advisor.decisions").Inc()
 	queued := s.QueuedBytes()
@@ -139,54 +135,23 @@ func (s *System) recordForExec(col *bat.Strings, pattern string) *explain.Record
 	return rec
 }
 
-// finishRecord maps a finished query's accounting onto the explain layer's
-// cost terms: the runtime's per-job Completion records (HWStats) provide
-// the hardware terms, the phase breakdown the software and fixed terms.
-func finishRecord(rec *explain.Record, res *Result) {
-	if rec == nil || res == nil {
-		return
-	}
-	bd := res.Breakdown
-	fixed := bd.Get(PhaseDatabase) + bd.Get(PhaseUDF) +
-		bd.Get(PhaseConfigGen) + bd.Get(PhaseHAL)
-	rec.Degraded = res.Degraded
-	rec.DegradedCause = res.DegradedCause
-	rec.Finish(explain.Cost{
-		ScanBytes:     res.HW.Bytes,
-		QPITransferNS: ns(res.HW.LinkBusy),
-		EngineBusyNS:  ns(res.HW.Time),
-		QueueDelayNS:  ns(res.HW.QueueWait),
-		SoftwareNS:    ns(bd.Get(PhaseSoftware)),
-		FixedNS:       ns(fixed),
-		TotalNS:       ns(res.Total()),
-	})
-}
-
 // FinishSoftware closes a decision record for a predicate the engine kept
 // in software (the cost model's software-wins outcome): the realized cost
 // is the calibrated scan model over the work actually performed. The
 // query still lands in the wide-event log — the software placement class
-// has SLIs too.
+// has SLIs too — under the SQL statement's ids the record carries.
 func (s *System) FinishSoftware(rec *explain.Record, w perf.Work) {
 	if rec == nil {
 		return
 	}
-	t := s.Model.MonetDBScan(w, true)
-	rec.Finish(explain.Cost{SoftwareNS: ns(t), TotalNS: ns(t)})
-	rec.Topdown = topdown.Analyze(topdown.QueryCycles{
-		Placement: "software",
-		Software:  t,
-		Total:     t,
-	})
-	s.Tel.Counter("topdown.verdict." + string(rec.Topdown.Verdict)).Inc()
-	s.Obs.ObserveQuery(obs.Event{
-		SimNS:      ns(s.HAL.SimEpoch()),
-		Pattern:    rec.Pattern,
-		Placement:  "software",
-		Outcome:    obs.OutcomeCompleted,
-		Rows:       rec.Rows,
-		TotalNS:    ns(t),
-		PlanCached: rec.PlanCacheHit,
-		Topdown:    rec.Topdown,
+	var bd sim.Counter
+	bd.Add(PhaseSoftware, s.Model.MonetDBScan(w, true))
+	s.finishQuery(rec, queryFacts{
+		session:   rec.Session,
+		query:     rec.Query,
+		pattern:   rec.Pattern,
+		placement: "software",
+		rows:      rec.Rows,
+		bd:        &bd,
 	})
 }

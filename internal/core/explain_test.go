@@ -218,16 +218,3 @@ func TestQPIDegradationTripsDriftAlarm(t *testing.T) {
 		t.Error("no calib-drift event in the flight recorder")
 	}
 }
-
-func TestAdviseOffloadMatchesExplain(t *testing.T) {
-	s := newExplainSystem(t, nil, faults.New(faults.Options{}), explain.NewAuditor(explain.Options{}))
-	for _, pat := range []string{workload.Q1Regex, workload.Q2, workload.QH} {
-		rec, err := s.ExplainCost(pat, 1_000_000, 64)
-		if err != nil {
-			t.Fatalf("%s: %v", pat, err)
-		}
-		if got := s.AdviseOffload(pat, 1_000_000, 64); got != rec.Offloads() {
-			t.Errorf("%s: AdviseOffload=%v, record offloads=%v", pat, got, rec.Offloads())
-		}
-	}
-}

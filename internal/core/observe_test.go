@@ -6,9 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"doppiodb/internal/bat"
+	"doppiodb/internal/explain"
+	"doppiodb/internal/faults"
+	"doppiodb/internal/flightrec"
+	"doppiodb/internal/fpga"
 	"doppiodb/internal/hal"
 	"doppiodb/internal/obs"
+	"doppiodb/internal/perf"
 	"doppiodb/internal/sim"
+	"doppiodb/internal/telemetry"
 	"doppiodb/internal/token"
 	"doppiodb/internal/workload"
 )
@@ -159,5 +166,113 @@ func TestObserveJSONLBitIdentical(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("wide-event JSONL differs across identical runs:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// Every placement ends in the one finish step, so the wide event, the
+// decision record and the Result must tell the same story: one total, a
+// phase breakdown that sums to it, and one topdown attribution.
+func TestFinishStepSinksAgree(t *testing.T) {
+	const tooWide = `(abcdefghij|klmnopqrst|uvwxyzabcd|efghijklmn)`
+	cases := []struct {
+		name      string
+		dep       *fpga.Deployment
+		faults    faults.Options
+		placement string
+		outcome   obs.Outcome
+		// run executes the query; res is nil for the software placement,
+		// which finishes through FinishSoftware instead of Exec.
+		run func(t *testing.T, s *System, col *bat.Strings) (*explain.Record, *Result)
+	}{
+		{name: "fpga", placement: "fpga", outcome: obs.OutcomeCompleted},
+		{name: "hybrid", dep: smallDeployment(), placement: "hybrid", outcome: obs.OutcomeCompleted},
+		{name: "degraded", faults: faults.Options{DropEnabled: true, DropEngine: 0},
+			placement: "fpga", outcome: obs.OutcomeDegraded},
+		{name: "software", placement: "software", outcome: obs.OutcomeCompleted,
+			run: func(t *testing.T, s *System, col *bat.Strings) (*explain.Record, *Result) {
+				rec, err := s.ExplainCost(tooWide, col.Count(), 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Offloads() {
+					t.Fatalf("chosen %q, want software", rec.Chosen)
+				}
+				rec.Session, rec.Query = "s9", "3"
+				s.FinishSoftware(rec, perf.Work{Rows: col.Count(), RegexRows: col.Count(), Steps: 40_000})
+				return rec, nil
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := obs.New(obs.Options{Log: obs.LogOptions{SampleEvery: 1}})
+			s, err := NewSystem(Options{
+				RegionBytes: 1 << 30,
+				Deployment:  c.dep,
+				Telemetry:   telemetry.NewRegistry(),
+				Recorder:    flightrec.New(256),
+				Faults:      faults.New(c.faults),
+				Auditor:     explain.NewAuditor(explain.Options{}),
+				Obs:         o,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			tbl, _ := loadTable(t, s, 10_000, workload.HitQH, 0.2)
+			col, _ := tbl.Column("address_string")
+			run := c.run
+			if run == nil {
+				run = func(t *testing.T, s *System, col *bat.Strings) (*explain.Record, *Result) {
+					res, err := s.Exec(context.Background(), col, workload.QH, token.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res.Decision, res
+				}
+			}
+			rec, res := run(t, s, col.Strs)
+
+			evs := o.Log.Window(0)
+			if len(evs) != 1 {
+				t.Fatalf("events: got %d, want 1", len(evs))
+			}
+			ev := evs[0]
+			if ev.Placement != c.placement || ev.Outcome != c.outcome {
+				t.Fatalf("placement/outcome: %s/%s, want %s/%s", ev.Placement, ev.Outcome, c.placement, c.outcome)
+			}
+			if rec == nil || rec.Actual == nil {
+				t.Fatalf("record not finished: %+v", rec)
+			}
+			if ev.TotalNS <= 0 || ev.TotalNS != rec.Actual.TotalNS {
+				t.Errorf("event total %dns, record actual %dns", ev.TotalNS, rec.Actual.TotalNS)
+			}
+			var sum int64
+			for _, v := range ev.Phases {
+				sum += v
+			}
+			if sum != ev.TotalNS {
+				t.Errorf("phases %v sum to %dns, want total %dns", ev.Phases, sum, ev.TotalNS)
+			}
+			if ev.Topdown == nil || ev.Topdown != rec.Topdown {
+				t.Errorf("event topdown %+v is not the record's %+v", ev.Topdown, rec.Topdown)
+			}
+			if res == nil {
+				if ev.Session != "s9" || ev.Query != "3" {
+					t.Errorf("software event ids %q#%q, want s9#3", ev.Session, ev.Query)
+				}
+				return
+			}
+			if got := ns(res.Total()); got != ev.TotalNS {
+				t.Errorf("Result total %dns, event %dns", got, ev.TotalNS)
+			}
+			if res.Topdown != ev.Topdown {
+				t.Errorf("Result topdown %+v is not the event's %+v", res.Topdown, ev.Topdown)
+			}
+			for _, ph := range res.Breakdown.Phases() {
+				if got, want := ev.Phases[ph], ns(res.Breakdown.Get(ph)); got != want {
+					t.Errorf("phase %q: event %dns, Result %dns", ph, got, want)
+				}
+			}
+		})
 	}
 }

@@ -13,8 +13,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"doppiodb/internal/bat"
 	"doppiodb/internal/memmodel"
 	"doppiodb/internal/perf"
@@ -137,6 +135,3 @@ func genTable(cfg Config, kind workload.HitKind) ([]string, int) {
 	g := workload.NewGenerator(cfg.Seed, workload.DefaultStrLen)
 	return g.Table(cfg.SampleRows, kind, cfg.Selectivity)
 }
-
-// fmtSeconds renders a simulated time in seconds for the reports.
-func fmtSeconds(t sim.Time) string { return fmt.Sprintf("%.3f", t.Seconds()) }

@@ -160,6 +160,11 @@ type Record struct {
 	// breakdown and engine-cycle buckets folded into a verdict. Nil before
 	// execution.
 	Topdown *topdown.Attribution `json:"topdown,omitempty"`
+	// Session and Query identify the SQL statement that ran the record's
+	// query, for the wide event of a predicate kept in software (its finish
+	// step gets the record but no context). Not part of the rendered record.
+	Session string `json:"-"`
+	Query   string `json:"-"`
 
 	auditor *Auditor
 }

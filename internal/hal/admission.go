@@ -88,13 +88,6 @@ func (h *HAL) SetAdmission(l AdmissionLimits) {
 	h.mu.Unlock()
 }
 
-// Admission returns the installed backlog caps.
-func (h *HAL) Admission() AdmissionLimits {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.admission
-}
-
 // budgetKey carries a simulated completion budget through a context.
 type budgetKey struct{}
 

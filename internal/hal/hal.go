@@ -332,12 +332,6 @@ func (h *HAL) Submit(p engine.JobParams) (*Job, error) {
 	return h.submit(context.Background(), -1, p)
 }
 
-// SubmitContext is Submit honoring ctx: cancellation aborts the retry loop
-// between attempts (the watchdog path respects the caller's deadline).
-func (h *HAL) SubmitContext(ctx context.Context, p engine.JobParams) (*Job, error) {
-	return h.submit(ctx, -1, p)
-}
-
 // SubmitTo enqueues a job for a specific engine (partitioned execution
 // pins each partition to its own engine). Pinned jobs retry on the same
 // engine only.

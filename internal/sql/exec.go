@@ -19,14 +19,20 @@ import (
 	"doppiodb/internal/telemetry"
 )
 
-// PlacementAdvisor is the optimizer hook of the paper's §9 discussion: a
-// cost model that decides whether a REGEXP_LIKE predicate should run on
-// its software implementation or be offloaded to the hardware operator.
-// internal/core's System implements it.
-type PlacementAdvisor interface {
-	// AdviseOffload reports whether the FPGA implementation is expected
-	// to be faster for this pattern over rows strings of avgLen bytes.
-	AdviseOffload(pattern string, rows, avgLen int) bool
+// CostAdvisor is the optimizer hook of the paper's §9 discussion: a cost
+// model that decides whether a REGEXP_LIKE predicate should run on its
+// software implementation or be offloaded to the hardware operator. The
+// decision record it returns is the decision: the engine routes on it,
+// EXPLAIN renders it, and execution fills its actuals. internal/core's
+// System implements it.
+type CostAdvisor interface {
+	// ExplainCost prices every candidate plan for the predicate over rows
+	// strings of avgLen bytes and returns the decision record (chosen plan
+	// + reason included).
+	ExplainCost(pattern string, rows, avgLen int) (*explain.Record, error)
+	// FinishSoftware fills a record's actuals for a predicate that ran on
+	// the CPU scan path, from the scan's realized work.
+	FinishSoftware(rec *explain.Record, w perf.Work)
 }
 
 // Engine executes SQL over the column store.
@@ -36,7 +42,7 @@ type Engine struct {
 	// REGEXP_LIKE predicates to the hardware UDF when the cost model
 	// predicts a win (§9's "the query optimizer will then be able to
 	// dynamically decide where an operator ... will be executed").
-	Advisor PlacementAdvisor
+	Advisor CostAdvisor
 	// Tel receives query-level metrics (query counts, fast-path hits,
 	// rows out). Nil is safe: metrics are recorded into detached
 	// instances and simply not exported.

@@ -4,38 +4,9 @@ import (
 	"context"
 
 	"doppiodb/internal/explain"
-	"doppiodb/internal/perf"
 	"doppiodb/internal/plan"
 	"doppiodb/internal/telemetry"
 )
-
-// Explainer is the richer face of the placement advisor: it returns the
-// full decision record instead of a boolean, and closes records for
-// predicates the engine keeps in software. internal/core's System
-// implements it; a PlacementAdvisor without it still works, just without
-// EXPLAIN output.
-type Explainer interface {
-	// ExplainCost prices every candidate plan for the predicate and
-	// returns the decision record (chosen plan + reason included).
-	ExplainCost(pattern string, rows, avgLen int) (*explain.Record, error)
-	// FinishSoftware fills a record's actuals for a predicate that ran on
-	// the CPU scan path, from the scan's realized work.
-	FinishSoftware(rec *explain.Record, w perf.Work)
-}
-
-// adviseRecord runs the cost model for a predicate, preferring the
-// Explainer's full record over the boolean advisor. Estimation errors
-// conservatively keep the predicate in software (matching AdviseOffload).
-func (e *Engine) adviseRecord(pattern string, rows, avgLen int) (*explain.Record, bool) {
-	if ex, ok := e.Advisor.(Explainer); ok {
-		rec, err := ex.ExplainCost(pattern, rows, avgLen)
-		if err != nil {
-			return nil, false
-		}
-		return rec, rec.Offloads()
-	}
-	return nil, e.Advisor.AdviseOffload(pattern, rows, avgLen)
-}
 
 // explainQuery serves EXPLAIN [ANALYZE] <select>: one "plan" output column,
 // one row per line of the decision record. Plain EXPLAIN prices the
@@ -60,19 +31,17 @@ func (e *Engine) explainQuery(ctx context.Context, stmt *SelectStmt, root *telem
 	} else {
 		// Compile without executing: the operator tree plus the
 		// plan-time placement decision. Statement shapes whose decision
-		// only exists at run time (the forced REGEXP_FPGA operator) fall
-		// back to pricing the predicate directly.
+		// only exists at run time (the forced REGEXP_FPGA operator) price
+		// the predicate the planner bound.
 		pl, err := e.plan(&inner, root)
 		if err != nil {
 			return nil, err
 		}
 		rec = pl.st.decision
-		if rec == nil {
-			r, err := e.planOnlyRecord(&inner)
-			if err != nil {
+		if rec == nil && pl.target != nil && e.Advisor != nil {
+			if rec, err = pl.target.price(e.Advisor); err != nil {
 				return nil, err
 			}
-			rec = r
 		}
 		res.Plan = plan.Snapshot(pl.root)
 	}
@@ -95,72 +64,4 @@ func (e *Engine) explainQuery(ctx context.Context, stmt *SelectStmt, root *telem
 		res.Rows = append(res.Rows, []any{l})
 	}
 	return e.finish(res, root), nil
-}
-
-// planOnlyRecord prices the candidates of a statement's hardware-eligible
-// predicate without executing it. Statements outside the recognized shapes
-// (or engines without an Explainer advisor) yield a nil record, which
-// explainQuery renders as an explanatory line.
-func (e *Engine) planOnlyRecord(stmt *SelectStmt) (*explain.Record, error) {
-	ex, ok := e.Advisor.(Explainer)
-	if !ok {
-		return nil, nil
-	}
-	pat, forced, rows, avgLen, ok, err := e.explainTarget(stmt)
-	if err != nil || !ok {
-		return nil, err
-	}
-	rec, err := ex.ExplainCost(pat, rows, avgLen)
-	if err != nil {
-		return nil, err
-	}
-	if forced && !rec.Offloads() {
-		rec.ForceHardware("REGEXP_FPGA invoked explicitly; cost model preferred software")
-	}
-	return rec, nil
-}
-
-// explainTarget extracts the explainable predicate of a statement: a
-// REGEXP_LIKE(col, pattern) or REGEXP_FPGA(pattern, col) <> 0 WHERE clause
-// over a base table (the shapes the placement machinery prices). forced
-// marks the explicit hardware operator.
-func (e *Engine) explainTarget(stmt *SelectStmt) (pat string, forced bool, rows, avgLen int, ok bool, err error) {
-	bt, isBase := stmt.From.(*BaseTable)
-	if !isBase || stmt.Where == nil {
-		return "", false, 0, 0, false, nil
-	}
-	tbl, err := e.DB.Table(bt.Name)
-	if err != nil {
-		return "", false, 0, 0, false, err
-	}
-	switch w := stmt.Where.(type) {
-	case *FuncCall:
-		if w.Name != "REGEXP_LIKE" {
-			return "", false, 0, 0, false, nil
-		}
-		colExpr, p, err := regexpArgs(w)
-		if err != nil {
-			return "", false, 0, 0, false, err
-		}
-		ref, isRef := colExpr.(*ColumnRef)
-		if !isRef {
-			return "", false, 0, 0, false, nil
-		}
-		return p, false, tbl.Rows(), avgStringLen(tbl, ref.Column), true, nil
-	case *BinaryExpr:
-		call, _ := fpgaPredicate(w)
-		if call == nil {
-			return "", false, 0, 0, false, nil
-		}
-		colExpr, p, err := regexpFPGAArgs(call)
-		if err != nil {
-			return "", false, 0, 0, false, err
-		}
-		ref, isRef := colExpr.(*ColumnRef)
-		if !isRef {
-			return "", false, 0, 0, false, nil
-		}
-		return p, true, tbl.Rows(), avgStringLen(tbl, ref.Column), true, nil
-	}
-	return "", false, 0, 0, false, nil
 }

@@ -119,9 +119,8 @@ func (e *Engine) tryFastCount(ctx context.Context, stmt *SelectStmt, root *telem
 			var rec *explain.Record
 			if e.Advisor != nil {
 				if _, hasUDF := e.DB.UDF("regexp_fpga"); hasUDF {
-					var offload bool
-					rec, offload = e.adviseRecord(pat, tbl.Rows(), avgStringLen(tbl, ref.Column))
-					if offload {
+					rec, _ = (&costTarget{pattern: pat, tbl: tbl, column: ref.Column}).price(e.Advisor)
+					if rec != nil && rec.Offloads() {
 						out, err := e.DB.CallUDF(explain.WithRecord(ctx, rec),
 							"regexp_fpga", tbl, ref.Column, pat)
 						if err != nil {
@@ -148,9 +147,7 @@ func (e *Engine) tryFastCount(ctx context.Context, stmt *SelectStmt, root *telem
 			if rec != nil {
 				// The predicate stayed in software: the realized cost is
 				// the scan's own work, priced by the calibrated model.
-				if ex, ok := e.Advisor.(Explainer); ok {
-					ex.FinishSoftware(rec, sel.Work)
-				}
+				e.Advisor.FinishSoftware(rec, sel.Work)
 			}
 			res := mk(sel.Count(), sel.Work, "regexp", nil)
 			res.Decision = rec

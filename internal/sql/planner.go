@@ -7,6 +7,7 @@ import (
 
 	"doppiodb/internal/explain"
 	"doppiodb/internal/mdb"
+	"doppiodb/internal/obs"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/plan"
 	"doppiodb/internal/telemetry"
@@ -25,10 +26,33 @@ import (
 type planEntry struct {
 	// advised is set once the REGEXP_LIKE placement was decided.
 	advised bool
-	// rec is the decision-record template; hits hand out Clones.
+	// rec is the decision-record template; hits hand out Clones. Nil when
+	// the estimate failed, which keeps the predicate in software.
 	rec *explain.Record
-	// offload is the decision: route to the hardware UDF or stay soft.
-	offload bool
+}
+
+// costTarget is the hardware-eligible predicate a plan bound: what the
+// cost model prices for the statement.
+type costTarget struct {
+	pattern string
+	tbl     *mdb.Table
+	column  string
+	// forced marks the explicit REGEXP_FPGA operator, which runs on the
+	// hardware whatever the cost model prefers.
+	forced bool
+}
+
+// price runs the cost model over the target's pattern and column
+// statistics and returns the decision record.
+func (t *costTarget) price(a CostAdvisor) (*explain.Record, error) {
+	rec, err := a.ExplainCost(t.pattern, t.tbl.Rows(), avgStringLen(t.tbl, t.column))
+	if err != nil {
+		return nil, err
+	}
+	if t.forced && !rec.Offloads() {
+		rec.ForceHardware("REGEXP_FPGA invoked explicitly; cost model preferred software")
+	}
+	return rec, nil
 }
 
 // planState collects what the bound closures produce during execution:
@@ -51,6 +75,8 @@ type physical struct {
 	// fastPath carries the BAT-shortcut label ("like", "regexp",
 	// "regexp->udf", "contains", "udf") or "" for the general pipeline.
 	fastPath string
+	// target is the hardware-eligible predicate bound, if any.
+	target *costTarget
 	// cacheStatus is "hit", "miss", or "" (uncacheable shape).
 	cacheStatus string
 	entry       *planEntry
@@ -231,33 +257,26 @@ func (e *Engine) planFastCount(p *physical, root *telemetry.Span) (bool, error) 
 			if !ok {
 				return false, nil
 			}
+			p.target = &costTarget{pattern: pat, tbl: tbl, column: ref.Column}
 			// Cost-based placement (§9): the decision is made at plan
 			// time and cached — a plan-cache hit reuses the recorded
-			// choice instead of re-running the estimator.
+			// choice instead of re-running the estimator. An estimation
+			// error keeps the predicate in software.
 			var rec *explain.Record
-			var offload bool
 			if e.Advisor != nil {
 				if _, hasUDF := e.DB.UDF("regexp_fpga"); hasUDF {
 					if p.hit && p.entry.advised {
 						rec = p.entry.rec.Clone()
-						offload = p.entry.offload
 					} else {
-						rec, offload = e.adviseRecord(pat, tbl.Rows(), avgStringLen(tbl, ref.Column))
+						rec, _ = p.target.price(e.Advisor)
 						p.entry.advised = true
-						p.entry.offload = offload
-						if rec != nil {
-							p.entry.rec = rec.Clone()
-						}
+						p.entry.rec = rec.Clone()
 					}
 				}
 			}
-			if offload {
-				placement := "fpga"
-				if rec != nil && rec.Chosen != "" {
-					placement = rec.Chosen
-				}
+			if rec != nil && rec.Offloads() {
 				var op *plan.FPGARegexScan
-				op = plan.NewFPGARegexScan(detail, placement, func(ctx context.Context) (plan.ScanOut, error) {
+				op = plan.NewFPGARegexScan(detail, rec.Chosen, func(ctx context.Context) (plan.ScanOut, error) {
 					out, err := e.DB.CallUDF(explain.WithRecord(ctx, rec),
 						"regexp_fpga", tbl, ref.Column, pat)
 					if err != nil {
@@ -291,10 +310,9 @@ func (e *Engine) planFastCount(p *physical, root *telemetry.Span) (bool, error) 
 				if rec != nil {
 					// The predicate stayed in software: the realized cost
 					// is the scan's own work, priced by the calibrated
-					// model.
-					if ex, ok := e.Advisor.(Explainer); ok {
-						ex.FinishSoftware(rec, sel.Work)
-					}
+					// model, and logged under the statement's ids.
+					rec.Session, rec.Query = obs.QueryInfoFrom(ctx)
+					e.Advisor.FinishSoftware(rec, sel.Work)
 				}
 				st.work.Add(sel.Work)
 				return plan.ScanOut{Tally: int64(sel.Count()), TallyOnly: true}, nil
@@ -336,6 +354,7 @@ func (e *Engine) planFastCount(p *physical, root *telemetry.Span) (bool, error) 
 		if !ok {
 			return false, nil
 		}
+		p.target = &costTarget{pattern: pat, tbl: tbl, column: ref.Column, forced: true}
 		if _, hasUDF := e.DB.UDF("regexp_fpga"); !hasUDF {
 			// No hardware attached: the general evaluator runs the
 			// hardware-equivalent automaton row by row.

@@ -6,6 +6,7 @@ import (
 
 	"doppiodb/internal/core"
 	"doppiodb/internal/mdb"
+	"doppiodb/internal/obs"
 	"doppiodb/internal/strmatch"
 	"doppiodb/internal/workload"
 )
@@ -378,6 +379,46 @@ func TestAdvisorRoutesRegexpToUDF(t *testing.T) {
 	_, res = oneCount(t, e, q)
 	if res.FastPath != "regexp" {
 		t.Errorf("fast path without advisor = %q", res.FastPath)
+	}
+}
+
+// Every advised statement's wide event names its session and query,
+// whichever side of the placement decision it lands on: the software
+// placement is logged by the advisor's FinishSoftware, which gets the
+// decision record but no context.
+func TestAdvisedQueriesLogSessionIDs(t *testing.T) {
+	o := obs.New(obs.Options{Log: obs.LogOptions{SampleEvery: 1}})
+	s, err := core.NewSystem(core.Options{RegionBytes: 1 << 30, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	rows, _ := workload.NewGenerator(55, 64).Table(5_000, workload.HitQ2, 0.2)
+	if _, err := s.DB.LoadAddressTable("address_table", rows); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(s.DB)
+	e.Advisor = s
+	// The second pattern neither fits the device nor has a `.*` split
+	// point, so the cost model keeps it in software.
+	for _, pat := range []string{
+		`(Strasse|Str\.).*(8[0-9]{4})`,
+		`(abcdefghij|klmnopqrst|uvwxyzabcd|efghijklmn)`,
+	} {
+		oneCount(t, e, `SELECT count(*) FROM address_table WHERE REGEXP_LIKE(address_string, '`+pat+`')`)
+	}
+	evs := o.Log.Window(0)
+	if len(evs) != 2 {
+		t.Fatalf("events: got %d, want 2", len(evs))
+	}
+	for i, want := range []string{"fpga", "software"} {
+		ev := evs[i]
+		if ev.Placement != want {
+			t.Errorf("event %d placement %q, want %q", i, ev.Placement, want)
+		}
+		if qid := fmt.Sprint(i + 1); ev.Session != e.ID || ev.Query != qid {
+			t.Errorf("%s event ids %q#%q, want %q#%q", ev.Placement, ev.Session, ev.Query, e.ID, qid)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@
 // per-instance statistics (a shared-memory Region, a Processing Unit)
 // allocate *detached* instances with NewCounter / NewGauge and expose their
 // legacy Stats structs as thin views over them; AttachCounter / AttachGauge
-// later publish those instances under stable names. All operations are safe
+// later publish those counters and gauges under stable names. All operations are safe
 // for concurrent use and nil-receiver safe, so unwired components cost one
 // predictable branch per update.
 package telemetry
@@ -259,14 +259,4 @@ func (r *Registry) AttachGauge(name string, g *Gauge) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gauges[name] = g
-}
-
-// AttachHistogram publishes a detached histogram under the given name.
-func (r *Registry) AttachHistogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hists[name] = h
 }
